@@ -160,13 +160,7 @@ fn main() {
         // Engine throughput on the same cluster: a short storm so
         // BENCH rows carry events/sec alongside the solver numbers.
         let engine_events_per_sec = if cluster.instance_count() >= 2 {
-            engine_storm(
-                &cluster,
-                4,
-                adapcc_bench::engine_bench::StormMode::Wave,
-                adapcc_bench::engine_bench::AllocMode::Auto,
-            )
-            .events_per_sec()
+            engine_storm(&cluster, 4, adapcc_bench::engine_bench::StormMode::Wave).events_per_sec()
         } else {
             0.0
         };
@@ -228,18 +222,12 @@ fn run_engine(argv: Vec<String>) {
         }
     };
     let cluster = adapcc_simnet::cluster::Cluster::homogeneous_a100(args.servers);
-    let report = engine_storm(&cluster, args.waves, args.storm, args.alloc);
-    let alloc_name = if report.incremental {
-        "incremental"
-    } else {
-        "exact"
-    };
+    let report = engine_storm(&cluster, args.waves, args.storm);
     println!(
-        "engine storm ({} / {} alloc): {} servers / {} GPUs, {} waves, {} transfers \
+        "engine storm ({}): {} servers / {} GPUs, {} waves, {} transfers \
          -> {} events in {:.1} ms wall ({:.0} events/sec, {:.3} ms simulated, \
          {} fillings touching {} flows)",
         args.storm.as_str(),
-        alloc_name,
         cluster.instance_count(),
         cluster.gpu_count(),
         args.waves,
@@ -257,7 +245,6 @@ fn run_engine(argv: Vec<String>) {
             gpus: cluster.gpu_count(),
             waves: args.waves,
             storm: args.storm.as_str().into(),
-            alloc: alloc_name.into(),
             transfers: report.transfers,
             events: report.events,
             sim_ms: report.sim_ms,

@@ -223,9 +223,6 @@ pub struct EngineArgs {
     pub waves: usize,
     /// Workload shape: synchronized waves or staggered churn.
     pub storm: crate::engine_bench::StormMode,
-    /// Allocator selection: exact, incremental, or the executor's
-    /// automatic scale gate.
-    pub alloc: crate::engine_bench::AllocMode,
     /// Append an `EngineBenchRecord` line here.
     pub bench_append: Option<String>,
 }
@@ -236,7 +233,6 @@ impl Default for EngineArgs {
             servers: 32,
             waves: 4,
             storm: crate::engine_bench::StormMode::Wave,
-            alloc: crate::engine_bench::AllocMode::Auto,
             bench_append: None,
         }
     }
@@ -252,8 +248,6 @@ pub fn engine_usage() -> &'static str {
        --waves N            storm waves, each fully drained (default 4)\n\
        --storm MODE         wave (synchronized rounds, default) or churn\n\
                             (staggered arrivals interleaved with completions)\n\
-       --alloc MODE         exact | incremental | auto (default auto:\n\
-                            incremental at 64+ servers, like the executor)\n\
        --bench-append FILE  append a one-line machine-readable record\n\
        --help               this message"
 }
@@ -296,18 +290,6 @@ pub fn parse_engine_args<I: IntoIterator<Item = String>>(args: I) -> Result<Engi
                     "wave" => crate::engine_bench::StormMode::Wave,
                     "churn" => crate::engine_bench::StormMode::Churn,
                     other => return Err(format!("--storm expects wave or churn, got {other}")),
-                }
-            }
-            "--alloc" => {
-                out.alloc = match value("--alloc")?.as_str() {
-                    "exact" => crate::engine_bench::AllocMode::Exact,
-                    "incremental" => crate::engine_bench::AllocMode::Incremental,
-                    "auto" => crate::engine_bench::AllocMode::Auto,
-                    other => {
-                        return Err(format!(
-                            "--alloc expects exact, incremental or auto, got {other}"
-                        ))
-                    }
                 }
             }
             "--bench-append" => out.bench_append = Some(value("--bench-append")?),
@@ -1071,7 +1053,6 @@ mod tests {
         let d = parse_engine(&[]).unwrap();
         assert_eq!(d, EngineArgs::default());
         assert_eq!(d.storm, crate::engine_bench::StormMode::Wave);
-        assert_eq!(d.alloc, crate::engine_bench::AllocMode::Auto);
         let a = parse_engine(&[
             "--servers",
             "128",
@@ -1079,8 +1060,6 @@ mod tests {
             "8",
             "--storm",
             "churn",
-            "--alloc",
-            "incremental",
             "--bench-append",
             "BENCH_engine.json",
         ])
@@ -1088,11 +1067,9 @@ mod tests {
         assert_eq!(a.servers, 128);
         assert_eq!(a.waves, 8);
         assert_eq!(a.storm, crate::engine_bench::StormMode::Churn);
-        assert_eq!(a.alloc, crate::engine_bench::AllocMode::Incremental);
         assert_eq!(a.bench_append.as_deref(), Some("BENCH_engine.json"));
-        let e = parse_engine(&["--storm", "wave", "--alloc", "exact"]).unwrap();
+        let e = parse_engine(&["--storm", "wave"]).unwrap();
         assert_eq!(e.storm, crate::engine_bench::StormMode::Wave);
-        assert_eq!(e.alloc, crate::engine_bench::AllocMode::Exact);
     }
 
     #[test]
@@ -1100,7 +1077,6 @@ mod tests {
         assert!(parse_engine(&["--servers", "1"]).is_err(), "cross-server");
         assert!(parse_engine(&["--waves", "0"]).is_err());
         assert!(parse_engine(&["--storm", "tsunami"]).is_err());
-        assert!(parse_engine(&["--alloc", "magic"]).is_err());
         assert!(parse_engine(&["--banana"]).is_err());
         assert!(parse_engine(&["--help"]).unwrap_err().contains("--waves"));
         assert!(parse_engine(&["--help"]).unwrap_err().contains("--storm"));

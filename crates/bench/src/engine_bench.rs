@@ -9,13 +9,10 @@
 //! Two storm shapes: synchronized waves (`Wave`, the engine's batch
 //! best case — one filling per wave) and staggered arrivals (`Churn`,
 //! the allocator's worst case — every arrival and completion lands at
-//! its own instant and pays its own refill). Both run under either
-//! allocator (`AllocMode`), so the bench quantifies exactly what the
-//! incremental frontier buys.
+//! its own instant and pays its own refill).
 
 use std::time::Instant;
 
-use adapcc::executor::INCREMENTAL_INSTANCE_THRESHOLD;
 use adapcc_simnet::cluster::{Cluster, InstanceId};
 use adapcc_simnet::engine::{NetSim, SimEvent};
 use adapcc_simnet::time::SimDuration;
@@ -43,38 +40,6 @@ impl StormMode {
     }
 }
 
-/// Allocator selection for [`engine_storm`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AllocMode {
-    /// Fleet-wide progressive filling on every event (legacy engine).
-    Exact,
-    /// Dirty-frontier incremental allocator.
-    Incremental,
-    /// The executor's policy: incremental at or above
-    /// [`INCREMENTAL_INSTANCE_THRESHOLD`] instances, exact below.
-    Auto,
-}
-
-impl AllocMode {
-    /// CLI name.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            AllocMode::Exact => "exact",
-            AllocMode::Incremental => "incremental",
-            AllocMode::Auto => "auto",
-        }
-    }
-
-    /// Resolves `Auto` against a concrete fleet size.
-    pub fn incremental_for(&self, instances: usize) -> bool {
-        match self {
-            AllocMode::Exact => false,
-            AllocMode::Incremental => true,
-            AllocMode::Auto => instances >= INCREMENTAL_INSTANCE_THRESHOLD,
-        }
-    }
-}
-
 /// Result of one [`engine_storm`] run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EngineStormReport {
@@ -90,10 +55,8 @@ pub struct EngineStormReport {
     /// Filling passes the allocator ran.
     pub fillings: u64,
     /// Total flows touched by those fillings — the allocator's real
-    /// work metric (`O(frontier)`, not `O(live)`, when incremental).
+    /// work metric (`O(frontier)`, not `O(live)`).
     pub frontier_flows: u64,
-    /// Whether the incremental allocator was active.
-    pub incremental: bool,
 }
 
 impl EngineStormReport {
@@ -123,16 +86,10 @@ const CHURN_TIMER_BASE: u64 = 1 << 40;
 /// # Panics
 ///
 /// Panics if the cluster has fewer than two instances.
-pub fn engine_storm(
-    cluster: &Cluster,
-    waves: usize,
-    mode: StormMode,
-    alloc: AllocMode,
-) -> EngineStormReport {
+pub fn engine_storm(cluster: &Cluster, waves: usize, mode: StormMode) -> EngineStormReport {
     let n = cluster.instance_count();
     assert!(n >= 2, "the storm needs at least two instances");
-    let incremental = alloc.incremental_for(n);
-    let mut sim = NetSim::new(cluster).with_incremental_allocator(incremental);
+    let mut sim = NetSim::new(cluster);
     let mut token = 0u64;
     let start = Instant::now();
     match mode {
@@ -180,7 +137,6 @@ pub fn engine_storm(
         wall_ms: start.elapsed().as_secs_f64() * 1e3,
         fillings: sim.fillings(),
         frontier_flows: sim.frontier_flows(),
-        incremental,
     }
 }
 
@@ -191,13 +147,12 @@ mod tests {
     #[test]
     fn storm_completes_every_transfer() {
         let cluster = Cluster::homogeneous_a100(4);
-        let r = engine_storm(&cluster, 3, StormMode::Wave, AllocMode::Exact);
+        let r = engine_storm(&cluster, 3, StormMode::Wave);
         assert_eq!(r.transfers, 12);
         assert!(r.events >= r.transfers, "every transfer costs events");
         assert!(r.sim_ms > 0.0);
         assert!(r.events_per_sec() > 0.0);
         assert!(r.fillings > 0);
-        assert!(!r.incremental);
     }
 
     #[test]
@@ -205,45 +160,17 @@ mod tests {
         // 32 servers > FLAT_FABRIC_MAX: the pattern crosses pod
         // boundaries and must still drain completely.
         let cluster = Cluster::homogeneous_a100(32);
-        let r = engine_storm(&cluster, 2, StormMode::Wave, AllocMode::Exact);
+        let r = engine_storm(&cluster, 2, StormMode::Wave);
         assert_eq!(r.transfers, 64);
         assert!(r.events >= r.transfers);
     }
 
     #[test]
-    fn churn_storm_completes_every_transfer_in_both_modes() {
+    fn churn_storm_completes_every_transfer() {
         let cluster = Cluster::homogeneous_a100(6);
-        for alloc in [AllocMode::Exact, AllocMode::Incremental] {
-            let r = engine_storm(&cluster, 2, StormMode::Churn, alloc);
-            assert_eq!(r.transfers, 12, "alloc={alloc:?}");
-            assert!(r.events >= 2 * r.transfers, "timer + completion each");
-            assert!(r.fillings > 0);
-        }
-    }
-
-    #[test]
-    fn incremental_storm_touches_fewer_flows() {
-        // The point of the frontier: on the wave storm the incremental
-        // allocator's total touched-flow count must be far below the
-        // exact engine's (which refills every live flow per event).
-        let cluster = Cluster::homogeneous_a100(16);
-        let exact = engine_storm(&cluster, 2, StormMode::Wave, AllocMode::Exact);
-        let inc = engine_storm(&cluster, 2, StormMode::Wave, AllocMode::Incremental);
-        assert_eq!(exact.transfers, inc.transfers);
-        assert!(
-            inc.frontier_flows * 2 <= exact.frontier_flows,
-            "incremental {} vs exact {}",
-            inc.frontier_flows,
-            exact.frontier_flows
-        );
-        assert!(inc.incremental);
-    }
-
-    #[test]
-    fn auto_mode_follows_the_executor_threshold() {
-        assert!(!AllocMode::Auto.incremental_for(INCREMENTAL_INSTANCE_THRESHOLD - 1));
-        assert!(AllocMode::Auto.incremental_for(INCREMENTAL_INSTANCE_THRESHOLD));
-        assert!(AllocMode::Incremental.incremental_for(2));
-        assert!(!AllocMode::Exact.incremental_for(1 << 20));
+        let r = engine_storm(&cluster, 2, StormMode::Churn);
+        assert_eq!(r.transfers, 12);
+        assert!(r.events >= 2 * r.transfers, "timer + completion each");
+        assert!(r.fillings > 0);
     }
 }

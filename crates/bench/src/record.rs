@@ -117,8 +117,6 @@ pub struct EngineBenchRecord {
     pub waves: usize,
     /// Workload shape: `wave` or `churn`.
     pub storm: String,
-    /// Allocator that ran: `exact` or `incremental`.
-    pub alloc: String,
     /// Transfers submitted.
     pub transfers: u64,
     /// Internal engine events processed.
@@ -132,8 +130,7 @@ pub struct EngineBenchRecord {
     /// Filling passes the allocator ran.
     pub fillings: u64,
     /// Total flows those fillings touched (the allocator's real work:
-    /// `O(frontier)` under the incremental allocator, `O(live)` per
-    /// event under the exact one).
+    /// `O(frontier)` per event, not `O(live)`).
     pub frontier_flows: u64,
     /// Plan-cache exact hits. The storm runs no synthesis, so this is
     /// always zero; the field exists so every `BENCH_*.json` row
@@ -156,7 +153,7 @@ impl EngineBenchRecord {
         let _ = write!(
             s,
             "{{\"servers\":\"{}\",\"gpus\":{},\"waves\":{},\"storm\":\"{}\",\
-             \"alloc\":\"{}\",\"transfers\":{},\
+             \"transfers\":{},\
              \"events\":{},\"sim_ms\":{:.6},\"wall_ms\":{:.3},\
              \"events_per_sec\":{:.1},\"fillings\":{},\"frontier_flows\":{},\
              \"plan_cache_hits\":{},\
@@ -166,7 +163,6 @@ impl EngineBenchRecord {
             self.gpus,
             self.waves,
             escape(&self.storm),
-            escape(&self.alloc),
             self.transfers,
             self.events,
             self.sim_ms,
@@ -603,7 +599,6 @@ mod tests {
             gpus: 512,
             waves: 4,
             storm: "churn".into(),
-            alloc: "incremental".into(),
             transfers: 512,
             events: 4096,
             sim_ms: 1.25,
@@ -621,7 +616,6 @@ mod tests {
         assert!(j.starts_with("{\"servers\":\"a100:128\""));
         assert!(j.contains("\"gpus\":512"));
         assert!(j.contains("\"storm\":\"churn\""));
-        assert!(j.contains("\"alloc\":\"incremental\""));
         assert!(j.contains("\"events\":4096"));
         assert!(j.contains("\"events_per_sec\":42010.3"));
         assert!(j.contains("\"fillings\":900"));
@@ -639,7 +633,6 @@ mod tests {
             gpus: 16,
             waves: 2,
             storm: "wave".into(),
-            alloc: "exact".into(),
             transfers: 8,
             events: 64,
             sim_ms: 0.5,

@@ -38,24 +38,6 @@ use crate::error::{AdapCCError, FaultKind, FaultReport};
 /// because contention concentrates on single links.)
 pub const DEFAULT_DEADLINE_MULTIPLIER: f64 = 16.0;
 
-/// Fleet size (in instances) at which the executor turns on the
-/// engine's completion coalescing. Below it the exact drain cascade is
-/// kept — its event stream is pinned by golden traces; at or above it
-/// the sub-picosecond cascade spacing is collapsed per wave (see
-/// `NetSim::with_completion_coalescing`).
-pub const COALESCE_INSTANCE_THRESHOLD: usize = 64;
-
-/// Fleet size (in instances) at which the executor switches the
-/// engine to the incremental (dirty-frontier) allocator. Below it the
-/// exact fleet-wide filling is kept — its event stream is pinned
-/// bit-for-bit by golden traces; at or above it per-event work scales
-/// with the touched flow component instead of every live flow, which
-/// is what keeps events/sec flat at cluster scale (see
-/// `NetSim::with_incremental_allocator`). Deliberately the same knee
-/// as coalescing: both are scale-gated engine modes with
-/// f64-rounding-scale timing deltas and full determinism.
-pub const INCREMENTAL_INSTANCE_THRESHOLD: usize = 64;
-
 /// Floor on any hop deadline, so microsecond-scale chunks do not trip
 /// their deadline on transient queueing.
 fn deadline_floor() -> SimDuration {
@@ -754,21 +736,7 @@ impl<'a> Executor<'a> {
         subs: &[LoweredSub],
     ) -> Result<BatchReport, FaultReport> {
         let collect: Vec<bool> = requests.iter().map(|r| r.inputs.is_some()).collect();
-        // Cluster-scale fleets drain synchronized chunk waves whose
-        // exact-mode completion cascade costs one rate filling per
-        // finisher; coalescing collapses each wave to one instant (and
-        // one filling). Small fleets stay in exact mode, whose event
-        // stream is pinned bit-for-bit by golden traces.
-        let coalesce = self.cluster.instance_count() >= COALESCE_INSTANCE_THRESHOLD;
-        // At the same knee, flip to the incremental allocator: chunk
-        // waves then pay one frontier refill per touched component
-        // rather than a fleet-wide filling per event (coalescing
-        // becomes moot — incremental completions are per-flow events
-        // with no harvest cascade).
-        let incremental = self.cluster.instance_count() >= INCREMENTAL_INSTANCE_THRESHOLD;
-        let mut sim = NetSim::new(self.cluster)
-            .with_incremental_allocator(incremental)
-            .with_completion_coalescing(coalesce && !incremental);
+        let mut sim = NetSim::new(self.cluster);
         for (l, f) in &self.factors {
             sim.set_capacity_factor(*l, *f);
         }
