@@ -229,7 +229,8 @@ impl Flow {
 
     /// The instant the flow drains at its current rate: lazily derived
     /// from its last sync, so it changes only when the flow's rate or
-    /// sync point does. `None` for a flow that is not draining.
+    /// sync point does. `None` for a flow held at rate zero with bytes
+    /// left.
     fn finish(&self) -> Option<SimTime> {
         if self.rate > 0.0 {
             let secs = (self.remaining / self.rate).max(0.0);
