@@ -129,10 +129,12 @@ impl<'c> AdapCC<'c> {
         let mut outputs = BTreeMap::new();
         if let Some(inp) = inputs {
             let elems = (tensor.as_u64() / 4) as usize;
+            // An active rank holds the phase-1 sum; a relay's buffer
+            // (the lowest rank's, say) may hold only a partial aggregate.
             let base = phase1
                 .requests
                 .first()
-                .and_then(|r| r.outputs.values().next().cloned())
+                .and_then(|r| active.iter().find_map(|a| r.outputs.get(a).cloned()))
                 .unwrap_or_else(|| vec![0.0; elems]);
             let mut total = base;
             for r in &late {

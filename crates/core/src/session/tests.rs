@@ -166,6 +166,49 @@ fn adaptive_partial_preserves_the_sum() {
 }
 
 #[test]
+fn adaptive_partial_sum_is_exact_when_the_lowest_rank_relays() {
+    // Every worker but the root and one peer is late, rank 0 among
+    // them: phase 1 runs over two ready ranks while the relays, rank 0
+    // included, only forward and hold partial aggregates. The final
+    // value must still be the exact sum of every tensor.
+    let c = Cluster::homogeneous_a100(2);
+    let mut cc = AdapCC::init(&c, patient_options());
+    cc.setup();
+    let tensor = ByteSize::from_kib(64);
+    let elems = 64 * 1024 / 4;
+    let workers = cc.workers().to_vec();
+    let inputs = inputs_for(&workers, elems);
+    let root = cc.strategy_for(Primitive::AllReduce, tensor).subs[0]
+        .root
+        .unwrap();
+    assert_ne!(root, Rank(0), "fixture needs a non-root rank 0");
+    let peer = *workers.iter().rev().find(|r| **r != root).unwrap();
+    let mut ready = BTreeMap::new();
+    for r in &workers {
+        let late = *r != root && *r != peer;
+        ready.insert(*r, SimTime::from_secs(if late { 0.04 } else { 0.0 }));
+    }
+    let report = cc
+        .allreduce_adaptive(tensor, &ready, Some(inputs.clone()))
+        .expect("healthy fabric");
+    match &report.decision {
+        Decision::Partial { relays, .. } => assert!(relays.contains(&Rank(0)), "{relays:?}"),
+        other => panic!("expected partial, got {other:?}"),
+    }
+    // Inputs are small integers, so every f32 sum is exact whatever
+    // the combine order.
+    let expect: Vec<f32> = (0..elems)
+        .map(|i| workers.iter().map(|r| inputs[r][i]).sum())
+        .collect();
+    for w in &workers {
+        let out = &report.outputs[w];
+        assert_eq!(out.len(), elems);
+        let wrong = out.iter().zip(&expect).position(|(a, b)| a != b);
+        assert_eq!(wrong, None, "rank {w:?} got a partial sum");
+    }
+}
+
+#[test]
 fn missing_worker_is_declared_faulty_and_excludable() {
     let c = Cluster::homogeneous_a100(2);
     let mut cc = AdapCC::init(&c, quick_options());

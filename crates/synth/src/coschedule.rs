@@ -78,14 +78,13 @@ impl CoScheduled {
 /// one pinned background.
 fn background_of_peers(
     topo: &LogicalTopology,
-    profile: &LinkProfile,
     strategies: &[Strategy],
     skip: usize,
 ) -> BackgroundLoad {
     let mut bg = BackgroundLoad::new(topo);
     for (j, s) in strategies.iter().enumerate() {
         if j != skip {
-            bg.add_strategy(topo, profile, s);
+            bg.add_strategy(topo, s);
         }
     }
     bg
@@ -101,10 +100,12 @@ pub fn contended_costs(
     strategies: &[Strategy],
 ) -> Vec<f64> {
     assert_eq!(reqs.len(), strategies.len(), "one request per strategy");
+    let model = CostModel::new(topo, profile);
     (0..strategies.len())
         .map(|i| {
-            let bg = background_of_peers(topo, profile, strategies, i);
-            CostModel::new(topo, profile)
+            let bg = background_of_peers(topo, strategies, i);
+            model
+                .clone()
                 .with_background(&bg)
                 .evaluate(&strategies[i], reqs[i].tensor)
                 .completion
@@ -143,6 +144,7 @@ pub fn co_schedule(
         .with_telemetry(telemetry.clone());
     let oblivious: Vec<Strategy> = reqs.iter().map(|r| base.synthesize(r)).collect();
     let oblivious_cost = contended_costs(topo, profile, reqs, &oblivious);
+    let empty_model = CostModel::new(topo, profile);
 
     let mut strategies = oblivious.clone();
     let mut rounds = 0usize;
@@ -153,13 +155,13 @@ pub fn co_schedule(
         // bit-reproducible per-group solves this makes the whole loop
         // deterministic for any solver thread count.
         for i in 0..reqs.len() {
-            let bg = background_of_peers(topo, profile, &strategies, i);
+            let bg = background_of_peers(topo, &strategies, i);
             let aware = Synthesizer::new(topo, profile)
                 .with_config(config.clone())
                 .with_telemetry(telemetry.clone())
                 .with_background(&bg);
             let candidate = aware.synthesize(&reqs[i]);
-            let model = CostModel::new(topo, profile).with_background(&bg);
+            let model = empty_model.clone().with_background(&bg);
             let incumbent = model
                 .evaluate(&strategies[i], reqs[i].tensor)
                 .completion
@@ -228,7 +230,7 @@ mod tests {
         let strategies: Vec<Strategy> = reqs.iter().map(|r| base.synthesize(r)).collect();
         let mut bg = BackgroundLoad::new(&topo);
         for s in &strategies[1..] {
-            bg.add_strategy(&topo, &profile, s);
+            bg.add_strategy(&topo, s);
         }
         assert!(!bg.is_empty());
         let empty = CostModel::new(&topo, &profile)

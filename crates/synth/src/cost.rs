@@ -33,6 +33,7 @@
 //! every delta under `debug_assertions`.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use adapcc_profile::profiler::LinkProfile;
 use adapcc_simnet::cluster::{InstanceId, Rank};
@@ -111,18 +112,18 @@ impl BackgroundLoad {
     /// Accumulates the stream loads of one co-scheduled strategy, by
     /// the same counting rules the foreground evaluation uses
     /// (AllReduce adds its reverse-broadcast twins).
-    pub fn add_strategy(&mut self, topo: &LogicalTopology, profile: &LinkProfile, s: &Strategy) {
-        let dense = DenseTopo::new(topo, profile);
+    pub fn add_strategy(&mut self, topo: &LogicalTopology, s: &Strategy) {
+        let index = NodeIndex::new(topo);
         let mut pairs = Vec::new();
         let mut add_sub = |sub: &SubCollective, prim: Primitive, pairs: &mut Vec<(EdgeId, f64)>| {
             compute_streams(topo, sub, prim, pairs);
             for &(e, n) in pairs.iter() {
                 self.shared[e.0] += n;
                 self.streams += n;
-                let ec = &dense.edges[e.0];
-                if ec.network {
-                    self.egress[ec.from as usize] += n;
-                    self.ingress[ec.to as usize] += n;
+                let edge = topo.edge(e);
+                if edge.kind == EdgeKind::Network {
+                    self.egress[index.node(edge.from)] += n;
+                    self.ingress[index.node(edge.to)] += n;
                 }
             }
         };
@@ -146,20 +147,26 @@ impl BackgroundLoad {
 }
 
 /// The evaluator.
-#[derive(Debug, Clone, Copy)]
+///
+/// Construction prices the fabric once: the static per-edge table
+/// (profiled α/β and port terms, endpoint indices) is built here, an
+/// O(edges) pass, and shared by every [`CostState`] the model opens and
+/// by every clone of the model. Build one model per solve and clone it
+/// rather than calling [`new`](Self::new) again.
+#[derive(Debug, Clone)]
 pub struct CostModel<'a> {
     topo: &'a LogicalTopology,
-    profile: &'a LinkProfile,
+    dense: Arc<DenseTopo>,
     background: Option<&'a BackgroundLoad>,
 }
 
 impl<'a> CostModel<'a> {
     /// A model over a profiled topology (empty fabric: no co-scheduled
     /// background traffic).
-    pub fn new(topo: &'a LogicalTopology, profile: &'a LinkProfile) -> Self {
+    pub fn new(topo: &'a LogicalTopology, profile: &LinkProfile) -> Self {
         CostModel {
             topo,
-            profile,
+            dense: Arc::new(DenseTopo::new(topo, profile)),
             background: None,
         }
     }
@@ -194,13 +201,46 @@ impl<'a> CostModel<'a> {
     /// chunk-time recursion fails to converge (a cyclic graph — caught
     /// earlier by [`Strategy::validate`]).
     pub fn evaluate(&self, strategy: &Strategy, total: ByteSize) -> CostEstimate {
-        CostState::new(*self, strategy, total).estimate()
+        CostState::new(self.clone(), strategy, total).estimate()
     }
 
     /// Opens a persistent evaluation state over `strategy` for
     /// incremental (delta) re-scoring.
     pub fn state(&self, strategy: &Strategy, total: ByteSize) -> CostState<'a> {
-        CostState::new(*self, strategy, total)
+        CostState::new(self.clone(), strategy, total)
+    }
+
+    /// A lower bound on the completion [`evaluate`](Self::evaluate)
+    /// reports for any strategy with a flow along `route` in a primary
+    /// sub-collective carrying `size` bytes at pipelining chunk `chunk`,
+    /// whatever the rest of the strategy and the background load are.
+    ///
+    /// Each hop is priced at its uncontended floor `α + max(β, port_β) ·
+    /// chunk`, hops are summed in route order, and the pipelined tail
+    /// adds `chunks × slowest floor` — eq. 5 with every load at 1 and
+    /// every synchronization wait at 0. Sound bit for bit: the eq. 3
+    /// load is at least 1, so the per-byte term `edge_time` prices is
+    /// never below `max(β, port_β)`; departures are never earlier than
+    /// the running hop sum; and f64 rounding is monotone, so every
+    /// partial sum and product here stays ≤ its counterpart in the full
+    /// evaluation.
+    pub(crate) fn route_lower_bound(&self, route: &[EdgeId], size: u64, chunk: ByteSize) -> f64 {
+        if route.is_empty() || size == 0 {
+            return 0.0;
+        }
+        // The same chunk clamp and chunk count as the full evaluation.
+        let chunk = ByteSize::from_bytes(chunk.as_u64().min(size.max(1)));
+        let chunks = ByteSize::from_bytes(size).chunks(chunk) as f64;
+        let chunk_f = chunk.as_f64();
+        let mut t = 0.0_f64;
+        let mut bottle = 0.0_f64;
+        for e in route {
+            let ec = &self.dense.edges[e.0];
+            let hop = ec.alpha + ec.beta.max(ec.port_beta) * chunk_f;
+            bottle = bottle.max(hop);
+            t += hop;
+        }
+        t + chunks * bottle
     }
 }
 
@@ -309,7 +349,7 @@ enum GroupKey {
     Merged(LogicalNode),
 }
 
-/// Static per-edge pricing inputs, resolved once per [`CostState`]:
+/// Static per-edge pricing inputs, resolved once per [`CostModel`]:
 /// profiled α/β terms, endpoint indices, and the port bandwidths of the
 /// edge's own ends (`0.0` = no profiled adjacent network edge, i.e. the
 /// port term does not apply — matching the absent-key semantics of the
@@ -327,20 +367,18 @@ struct EdgeCost {
     ingress_bw: f64,
 }
 
-/// Dense node/edge index over a logical topology plus the static
-/// pricing table. Node indices are positions in `topo.nodes()`.
+/// Dense node index over a logical topology: node indices are
+/// positions in `topo.nodes()`.
 #[derive(Debug)]
-struct DenseTopo {
-    node_count: usize,
+struct NodeIndex {
     /// Rank -> node index (`u32::MAX` = not a node).
     gpu_idx: Vec<u32>,
     /// Instance -> NIC node index (`u32::MAX` = not a node).
     nic_idx: Vec<u32>,
-    edges: Vec<EdgeCost>,
 }
 
-impl DenseTopo {
-    fn new(topo: &LogicalTopology, profile: &LinkProfile) -> Self {
+impl NodeIndex {
+    fn new(topo: &LogicalTopology) -> Self {
         let nodes = topo.nodes();
         let mut max_rank = 0usize;
         let mut max_inst = 0usize;
@@ -358,10 +396,35 @@ impl DenseTopo {
                 LogicalNode::Nic(InstanceId(inst)) => nic_idx[*inst] = i as u32,
             }
         }
+        NodeIndex { gpu_idx, nic_idx }
+    }
+
+    fn node(&self, n: LogicalNode) -> usize {
+        let i = match n {
+            LogicalNode::Gpu(Rank(r)) => self.gpu_idx[r],
+            LogicalNode::Nic(InstanceId(i)) => self.nic_idx[i],
+        };
+        debug_assert_ne!(i, u32::MAX, "node {n} not in topology");
+        i as usize
+    }
+}
+
+/// The static pricing table of one [`CostModel`]: the node index plus
+/// one [`EdgeCost`] per logical edge. Built once per model and shared,
+/// read-only, by every state the model opens.
+#[derive(Debug)]
+struct DenseTopo {
+    node_count: usize,
+    index: NodeIndex,
+    edges: Vec<EdgeCost>,
+}
+
+impl DenseTopo {
+    fn new(topo: &LogicalTopology, profile: &LinkProfile) -> Self {
+        let nodes = topo.nodes();
         let mut dense = DenseTopo {
             node_count: nodes.len(),
-            gpu_idx,
-            nic_idx,
+            index: NodeIndex::new(topo),
             edges: Vec::with_capacity(topo.edges().len()),
         };
         // Per-NIC port bandwidth: the best profiled aggregate over its
@@ -402,12 +465,7 @@ impl DenseTopo {
     }
 
     fn node(&self, n: LogicalNode) -> usize {
-        let i = match n {
-            LogicalNode::Gpu(Rank(r)) => self.gpu_idx[r],
-            LogicalNode::Nic(InstanceId(i)) => self.nic_idx[i],
-        };
-        debug_assert_ne!(i, u32::MAX, "node {n} not in topology");
-        i as usize
+        self.index.node(n)
     }
 }
 
@@ -530,8 +588,8 @@ enum UndoOp {
 /// enforced by a debug assertion after every delta.
 #[derive(Debug)]
 pub struct CostState<'a> {
+    /// The model, whose shared pricing table every re-score reads.
     model: CostModel<'a>,
-    dense: DenseTopo,
     primitive: Primitive,
     total: ByteSize,
     n_primary: usize,
@@ -556,12 +614,10 @@ impl<'a> CostState<'a> {
     ///
     /// Panics under the same conditions as [`CostModel::evaluate`].
     pub fn new(model: CostModel<'a>, strategy: &Strategy, total: ByteSize) -> Self {
-        let dense = DenseTopo::new(model.topo, model.profile);
         let edge_count = model.topo.edges().len();
-        let node_count = dense.node_count;
+        let node_count = model.dense.node_count;
         let mut state = CostState {
             model,
-            dense,
             primitive: strategy.primitive,
             total,
             n_primary: strategy.subs.len(),
@@ -632,7 +688,7 @@ impl<'a> CostState<'a> {
             );
             for &(e, n) in &streams {
                 self.shared_load[e.0] += n;
-                let ec = &self.dense.edges[e.0];
+                let ec = &self.model.dense.edges[e.0];
                 if ec.network {
                     self.egress_load[ec.from as usize] += n;
                     self.ingress_load[ec.to as usize] += n;
@@ -786,7 +842,7 @@ impl<'a> CostState<'a> {
             self.shared_load[ei] += d;
             self.scratch.edge_hot_gen[ei] = g;
             edge_deltas.push((ei as u32, d));
-            let ec = &self.dense.edges[ei];
+            let ec = &self.model.dense.edges[ei];
             if ec.network {
                 let (from, to) = (ec.from as usize, ec.to as usize);
                 if self.scratch.eg_acc_gen[from] != g {
@@ -847,7 +903,7 @@ impl<'a> CostState<'a> {
                     if self.scratch.edge_hot_gen[e.0] == g {
                         return true;
                     }
-                    let ec = &self.dense.edges[e.0];
+                    let ec = &self.model.dense.edges[e.0];
                     ec.network
                         && (self.scratch.eg_hot_gen[ec.from as usize] == g
                             || self.scratch.in_hot_gen[ec.to as usize] == g)
@@ -937,7 +993,7 @@ impl<'a> CostState<'a> {
                     for &(ei, d) in &edge_deltas {
                         let ei = ei as usize;
                         self.shared_load[ei] -= d;
-                        let ec = &self.dense.edges[ei];
+                        let ec = &self.model.dense.edges[ei];
                         if ec.network {
                             self.egress_load[ec.from as usize] -= d;
                             self.ingress_load[ec.to as usize] -= d;
@@ -990,20 +1046,20 @@ impl<'a> CostState<'a> {
         let g = scratch.next_gen();
         for (n, v) in &sub.aggregate {
             if *v {
-                scratch.agg_gen[self.dense.node(*n)] = g;
+                scratch.agg_gen[self.model.dense.node(*n)] = g;
             }
         }
         // Fixpoint iteration bound: distinct nodes + 2, as in the full
         // evaluation (trees converge in depth iterations).
         let mut distinct = 0usize;
         for f in &sub.flows {
-            let si = self.dense.node(f.src);
+            let si = self.model.dense.node(f.src);
             if scratch.visit_gen[si] != g {
                 scratch.visit_gen[si] = g;
                 distinct += 1;
             }
             for e in &f.route {
-                let ti = self.dense.edges[e.0].to as usize;
+                let ti = self.model.dense.edges[e.0].to as usize;
                 if scratch.visit_gen[ti] != g {
                     scratch.visit_gen[ti] = g;
                     distinct += 1;
@@ -1026,9 +1082,9 @@ impl<'a> CostState<'a> {
                 arr.clear();
                 arr.push(0.0);
                 let mut bottle = 0.0_f64;
-                let mut here = self.dense.node(flow.src);
+                let mut here = self.model.dense.node(flow.src);
                 for e in &flow.route {
-                    let ec = &self.dense.edges[e.0];
+                    let ec = &self.model.dense.edges[e.0];
                     // Departure from `here`: synchronized if it aggregates —
                     // including an aggregating *source* (a leader waits for
                     // its members before its merged stream departs).
@@ -1097,7 +1153,7 @@ impl<'a> CostState<'a> {
     /// strategy and compares every load and completion exactly.
     #[cfg(debug_assertions)]
     fn assert_matches_full(&self) {
-        let fresh = CostState::new(self.model, &self.strategy(), self.total);
+        let fresh = CostState::new(self.model.clone(), &self.strategy(), self.total);
         assert_eq!(self.groups.len(), fresh.groups.len(), "group count");
         for (ei, (a, b)) in self.shared_load.iter().zip(&fresh.shared_load).enumerate() {
             assert_eq!(a.to_bits(), b.to_bits(), "edge {ei} load delta≠full");

@@ -120,7 +120,8 @@ pub(crate) fn synthesize_hierarchical(
     // Re-scope the synthesizer onto a chunk grid floored for this fleet
     // size, so the reduced solve, composition and polish all search the
     // coarsened grid (small fleets keep the full grid and an identical
-    // synthesizer).
+    // synthesizer). The re-scoped clone shares the caller's cost model,
+    // built here first so both price the fabric from one table.
     let floor = chunk_floor(by_inst.len());
     let scoped: Synthesizer<'_>;
     let synth = if synth.config().chunk_grid.iter().any(|c| *c < floor) {
@@ -129,13 +130,8 @@ pub(crate) fn synthesize_hierarchical(
         if cfg.chunk_grid.is_empty() {
             cfg.chunk_grid.push(floor);
         }
-        let mut rescoped = Synthesizer::new(synth.topo(), synth.profile())
-            .with_config(cfg)
-            .with_telemetry(synth.telemetry().clone());
-        if let Some(bg) = synth.background() {
-            rescoped = rescoped.with_background(bg);
-        }
-        scoped = rescoped;
+        synth.cost_model();
+        scoped = synth.clone().with_config(cfg);
         &scoped
     } else {
         synth
@@ -201,7 +197,7 @@ pub(crate) fn synthesize_hierarchical(
     // mutations there, so relays stay reachable in hierarchical mode).
     let model = synth.cost_model();
     let hubs = group_by_instance(synth.topo(), &req.relays);
-    let (cost, strategy) = synth.eval_plan(&plan, req, by_inst, &hubs, &model)?;
+    let (cost, strategy) = synth.eval_plan(&plan, req, by_inst, &hubs, model)?;
     synth.telemetry().add_counter("synth.hierarchical", 1.0);
     let polish_iters = synth.config().anneal_iters / 8;
     let (_, plan, strategy) = synth.refine_plan(
@@ -211,7 +207,7 @@ pub(crate) fn synthesize_hierarchical(
         req,
         by_inst,
         &hubs,
-        &model,
+        model,
         polish_iters,
         req.seed ^ HIER_POLISH_SALT,
         1,

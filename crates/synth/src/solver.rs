@@ -21,6 +21,7 @@
 //!    reproducibility.
 
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
@@ -34,7 +35,7 @@ use adapcc_topo::logical::{EdgeKind, LogicalNode, LogicalTopology};
 use crate::cost::{BackgroundLoad, CostModel, CostState};
 use crate::hierarchy::Hierarchical;
 use crate::primitive::Primitive;
-use crate::strategy::{validate_sub, Flow, Strategy, SubCollective};
+use crate::strategy::{split_sizes, validate_sub, Flow, Strategy, SubCollective};
 
 /// What to synthesize.
 #[derive(Debug, Clone)]
@@ -150,13 +151,16 @@ impl Default for SynthConfig {
 /// assert_eq!(strategy.parallelism(), 4);
 /// assert!(strategy.validate(&topo).is_ok());
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Synthesizer<'a> {
     topo: &'a LogicalTopology,
     profile: &'a LinkProfile,
     config: SynthConfig,
     telemetry: adapcc_telemetry::Telemetry,
     background: Option<&'a BackgroundLoad>,
+    /// The cost model, built on first use and then shared by every
+    /// evaluation of every solve (and by clones of this synthesizer).
+    model: OnceLock<CostModel<'a>>,
 }
 
 /// Instance of a rank, derived from the logical topology's host links
@@ -308,6 +312,7 @@ impl<'a> Synthesizer<'a> {
             config: SynthConfig::default(),
             telemetry: adapcc_telemetry::Telemetry::disabled(),
             background: None,
+            model: OnceLock::new(),
         }
     }
 
@@ -335,6 +340,7 @@ impl<'a> Synthesizer<'a> {
     /// state.
     pub fn with_background(mut self, background: &'a BackgroundLoad) -> Self {
         self.background = Some(background);
+        self.model = OnceLock::new();
         self
     }
 
@@ -358,19 +364,17 @@ impl<'a> Synthesizer<'a> {
         &self.telemetry
     }
 
-    /// The pinned background load, if co-scheduled.
-    pub(crate) fn background(&self) -> Option<&'a BackgroundLoad> {
-        self.background
-    }
-
     /// The cost model every solve scores against, with the pinned
-    /// background (if any) applied.
-    pub(crate) fn cost_model(&self) -> CostModel<'a> {
-        let model = CostModel::new(self.topo, self.profile);
-        match self.background {
-            Some(bg) => model.with_background(bg),
-            None => model,
-        }
+    /// background (if any) applied. Built once per synthesizer: the
+    /// fabric's pricing table is an O(edges) pass.
+    pub(crate) fn cost_model(&self) -> &CostModel<'a> {
+        self.model.get_or_init(|| {
+            let model = CostModel::new(self.topo, self.profile);
+            match self.background {
+                Some(bg) => model.with_background(bg),
+                None => model,
+            }
+        })
     }
 
     /// Produces a validated strategy for the request.
@@ -516,6 +520,9 @@ impl<'a> Synthesizer<'a> {
         );
 
         // Initial plan per inter-tree shape x root family; keep the best.
+        // A candidate whose completion lower bound already reaches the
+        // best cost so far cannot win (`cost < best` would fail), so it
+        // is skipped before realization — the pick is unchanged.
         let allow_multi = req.primitive == Primitive::AllReduce && req.root.is_none();
         let mut best: Option<(f64, Plan, Strategy)> = None;
         let mut candidate_evals = 0u64;
@@ -526,6 +533,16 @@ impl<'a> Synthesizer<'a> {
                 }
                 let plan =
                     self.initial_plan(req, &by_inst, &hubs, root, root_inst, shape, multi_root);
+                if let Some((best_cost, _, _)) = &best {
+                    if let Some(bound) = self.plan_lower_bound(&plan, req, model) {
+                        if bound >= *best_cost {
+                            #[cfg(debug_assertions)]
+                            self.assert_bound_holds(bound, &plan, req, &by_inst, &hubs);
+                            self.telemetry.add_counter("synth.pruned_candidates", 1.0);
+                            continue;
+                        }
+                    }
+                }
                 if let Some(strategy) = self.realize_plan(&plan, req, &by_inst, &hubs) {
                     if strategy.validate(self.topo).is_err() {
                         continue;
@@ -546,7 +563,7 @@ impl<'a> Synthesizer<'a> {
             req,
             &by_inst,
             &hubs,
-            &model,
+            model,
             self.config.anneal_iters,
             req.seed ^ 0x5EED_CAFE,
             candidate_evals,
@@ -562,7 +579,6 @@ impl<'a> Synthesizer<'a> {
         if seed.subs.len() != req.parallelism {
             return None;
         }
-        let model = self.cost_model();
         let by_inst = group_by_instance(self.topo, &req.participants);
         let hubs = group_by_instance(self.topo, &req.relays);
         for sub in &seed.subs {
@@ -601,7 +617,8 @@ impl<'a> Synthesizer<'a> {
         for s in &mut plan.specs {
             s.fraction /= total;
         }
-        let (best_cost, best_strategy) = self.eval_plan(&plan, req, &by_inst, &hubs, &model)?;
+        let model = self.cost_model();
+        let (best_cost, best_strategy) = self.eval_plan(&plan, req, &by_inst, &hubs, model)?;
         let polish_iters = self.config.anneal_iters / 8;
         let (_, plan, best_strategy) = self.refine_plan(
             best_cost,
@@ -610,7 +627,7 @@ impl<'a> Synthesizer<'a> {
             req,
             &by_inst,
             &hubs,
-            &model,
+            model,
             polish_iters,
             req.seed ^ 0x3A3A_F00D,
             1,
@@ -843,6 +860,52 @@ impl<'a> Synthesizer<'a> {
         strategy.validate(self.topo).ok()?;
         let cost = model.evaluate(&strategy, req.tensor).completion.as_secs();
         Some((cost, strategy))
+    }
+
+    /// A lower bound on the modeled completion of `plan` once realized
+    /// (see [`CostModel::route_lower_bound`]): per sub-collective, the
+    /// uncontended floor of the flow from its deepest instance's leader
+    /// up to the root; the plan's bound is the largest. `None` when a
+    /// tree or route does not resolve — such a plan is left to
+    /// realization, which rejects it.
+    fn plan_lower_bound(
+        &self,
+        plan: &Plan,
+        req: &SynthRequest,
+        model: &CostModel<'_>,
+    ) -> Option<f64> {
+        let fractions: Vec<f64> = plan.specs.iter().map(|s| s.fraction).collect();
+        let sizes = split_sizes(&fractions, req.tensor);
+        let mut bound = 0.0_f64;
+        for (spec, &size) in plan.specs.iter().zip(&sizes) {
+            let inst = deepest_instance(spec)?;
+            let leader = *spec.leader.get(&inst)?;
+            if leader == spec.root {
+                continue;
+            }
+            let route = self.route_to_root(leader, inst, spec, spec.root)?;
+            bound = bound.max(model.route_lower_bound(&route, size, spec.chunk));
+        }
+        Some(bound)
+    }
+
+    /// Debug-build check behind every pruned candidate: realized and
+    /// evaluated after all, it must cost at least its bound.
+    #[cfg(debug_assertions)]
+    fn assert_bound_holds(
+        &self,
+        bound: f64,
+        plan: &Plan,
+        req: &SynthRequest,
+        by_inst: &BTreeMap<InstanceId, Vec<Rank>>,
+        hubs: &BTreeMap<InstanceId, Vec<Rank>>,
+    ) {
+        if let Some((cost, _)) = self.eval_plan(plan, req, by_inst, hubs, self.cost_model()) {
+            assert!(
+                bound <= cost,
+                "candidate bound {bound} exceeds its cost {cost}"
+            );
+        }
     }
 
     /// Profiled ingress bandwidth of an instance's NIC (score for root
@@ -1301,6 +1364,37 @@ enum TreeShape {
     Chain,
 }
 
+/// The instance farthest (in inter-tree hops) from the sub's root
+/// instance, lowest id on ties; `None` if the parent map does not lead
+/// every instance to the root.
+fn deepest_instance(spec: &TreeSpec) -> Option<InstanceId> {
+    let mut depth: BTreeMap<InstanceId, usize> = BTreeMap::new();
+    depth.insert(spec.root_inst, 0);
+    let mut deepest = (0, spec.root_inst);
+    let mut path = Vec::new();
+    for &inst in spec.parent.keys() {
+        // Climb to the first instance of known depth, then unwind.
+        let mut here = inst;
+        path.clear();
+        while !depth.contains_key(&here) {
+            if path.len() > spec.parent.len() {
+                return None; // the parent map has a cycle
+            }
+            path.push(here);
+            here = *spec.parent.get(&here)?;
+        }
+        let mut d = depth[&here];
+        for &p in path.iter().rev() {
+            d += 1;
+            depth.insert(p, d);
+        }
+        if d > deepest.0 {
+            deepest = (d, inst);
+        }
+    }
+    Some(deepest.1)
+}
+
 /// Groups ranks by their instance (instance order, rank order within).
 pub fn group_by_instance(
     topo: &LogicalTopology,
@@ -1540,6 +1634,88 @@ mod tests {
         assert_eq!(groups[&InstanceId(5)].len(), 4);
     }
 
+    #[test]
+    fn hopeless_chain_candidate_is_pruned_without_changing_the_pick() {
+        // Single-root Reduce over the six-server testbed: the chain
+        // candidate's floor (five inter-server hops in series) already
+        // reaches the best earlier candidate's modeled cost, so it is
+        // never realized.
+        let c = Cluster::paper_testbed();
+        let (topo, profile) = setup(&c);
+        let tensor = ByteSize::from_mib(64);
+        let mut req = SynthRequest::new(Primitive::Reduce, tensor, 1, all_ranks(&c));
+        req.root = Some(Rank(0));
+        req.seed = 7;
+        let telemetry = adapcc_telemetry::Telemetry::enabled();
+        let synth = Synthesizer::new(&topo, &profile).with_telemetry(telemetry.clone());
+        synth.synthesize(&req);
+        assert_eq!(telemetry.counter("synth.pruned_candidates"), 1.0);
+
+        // Every candidate, realized and priced: the pruned chain's
+        // bound reaches the best cost before it, and its true cost
+        // lies at or above that bound.
+        let model = synth.cost_model();
+        let by_inst = group_by_instance(&topo, &req.participants);
+        let hubs = BTreeMap::new();
+        let (root, root_inst) = (Rank(0), InstanceId(0));
+        let mut best = f64::INFINITY;
+        for shape in [TreeShape::Star, TreeShape::Binary] {
+            let plan = synth.initial_plan(&req, &by_inst, &hubs, root, root_inst, shape, false);
+            let (cost, _) = synth
+                .eval_plan(&plan, &req, &by_inst, &hubs, model)
+                .unwrap();
+            best = best.min(cost);
+        }
+        let chain = synth.initial_plan(
+            &req,
+            &by_inst,
+            &hubs,
+            root,
+            root_inst,
+            TreeShape::Chain,
+            false,
+        );
+        let bound = synth.plan_lower_bound(&chain, &req, model).unwrap();
+        let (cost, _) = synth
+            .eval_plan(&chain, &req, &by_inst, &hubs, model)
+            .unwrap();
+        assert!(bound >= best, "bound {bound} < best {best}");
+        assert!(bound <= cost, "bound {bound} > cost {cost}");
+    }
+
+    /// Detected and profiled fleets for the bound proptest, built once
+    /// per `(kind, servers)` and leaked for the test binary's lifetime.
+    fn fleet_env(kind: usize, servers: usize) -> &'static (LogicalTopology, LinkProfile) {
+        use std::collections::HashMap;
+        use std::sync::{Mutex, OnceLock};
+        type Env = &'static (LogicalTopology, LinkProfile);
+        static FLEETS: OnceLock<Mutex<HashMap<(usize, usize), Env>>> = OnceLock::new();
+        let key = match kind {
+            0 => (0, servers),              // homogeneous A100, 2-16 servers
+            1 => (1, [4, 20][servers % 2]), // fat tree: flat, and two pods
+            2 => (2, 0),                    // the paper testbed
+            _ => (3, 0),                    // mixed GPU kinds
+        };
+        let mut fleets = FLEETS.get_or_init(Default::default).lock().unwrap();
+        fleets.entry(key).or_insert_with(|| {
+            let c = match key {
+                (0, n) => Cluster::homogeneous_a100(n),
+                (1, n) => Cluster::fat_tree(n, 2),
+                (2, _) => Cluster::paper_testbed(),
+                _ => {
+                    let mut b = adapcc_simnet::cluster::ClusterBuilder::new();
+                    b.add_instances(adapcc_simnet::hardware::InstanceSpec::a100_server(), 2);
+                    b.add_instances(adapcc_simnet::hardware::InstanceSpec::v100_server(), 2);
+                    b.add_instance(adapcc_simnet::hardware::InstanceSpec::h100_server());
+                    b.build()
+                }
+            };
+            let topo = Detector::new(&c, 1).run().logical_topology(&c);
+            let profile = Profiler::new(&c, &topo, 1).run().links;
+            Box::leak(Box::new((topo, profile)))
+        })
+    }
+
     /// Shared fixture for the proptests below, built once.
     fn cached_env() -> &'static (LogicalTopology, LinkProfile) {
         use std::sync::OnceLock;
@@ -1624,6 +1800,64 @@ mod tests {
                     if keep { "committed" } else { "rolled-back" }
                 );
             }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The candidate bound is sound: for every initial candidate
+        /// (three shapes x single/multi root), on homogeneous, fat-tree,
+        /// testbed and mixed-kind fleets, it never exceeds the full
+        /// evaluation of the realized plan — compared as raw f64, no
+        /// tolerance.
+        #[test]
+        fn candidate_bound_never_exceeds_the_realized_cost(
+            kind in 0usize..4,
+            servers in 2usize..=16,
+            prim in 0usize..3,
+            m in 1usize..=4,
+            relays in 0usize..=2,
+            seed in 0u64..1000,
+        ) {
+            use proptest::prelude::prop_assert;
+            let (topo, profile) = fleet_env(kind, servers);
+            let gpus = topo.gpu_nodes().len();
+            let primitive = [Primitive::Reduce, Primitive::AllReduce, Primitive::Broadcast][prim];
+            let mut req = SynthRequest::new(
+                primitive,
+                ByteSize::from_mib(64),
+                m,
+                (0..gpus - relays).map(Rank).collect(),
+            );
+            req.relays = (gpus - relays..gpus).map(Rank).collect();
+            req.seed = seed;
+            let synth = Synthesizer::new(topo, profile);
+            let model = synth.cost_model();
+            let by_inst = group_by_instance(topo, &req.participants);
+            let hubs = group_by_instance(topo, &req.relays);
+            let root = req.participants[seed as usize % req.participants.len()];
+            let root_inst = instance_of(topo, root);
+            let mut priced = 0;
+            for shape in [TreeShape::Star, TreeShape::Binary, TreeShape::Chain] {
+                for multi_root in [false, true] {
+                    let plan = synth
+                        .initial_plan(&req, &by_inst, &hubs, root, root_inst, shape, multi_root);
+                    let bound = synth.plan_lower_bound(&plan, &req, model);
+                    let Some((cost, _)) = synth.eval_plan(&plan, &req, &by_inst, &hubs, model)
+                    else {
+                        continue;
+                    };
+                    let bound = bound.expect("a plan that realizes has a bound");
+                    prop_assert!(bound > 0.0, "{shape:?}: vacuous bound");
+                    prop_assert!(
+                        bound <= cost,
+                        "{shape:?} multi_root={multi_root}: bound {bound} > cost {cost}"
+                    );
+                    priced += 1;
+                }
+            }
+            prop_assert!(priced > 0, "no candidate realized");
         }
     }
 }
